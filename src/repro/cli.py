@@ -44,7 +44,15 @@ from .analysis import analyze
 from .bench.runner import EXPERIMENTS, run_all, run_figure1, run_figure2
 from .graph.specs import parse_topology
 from .lid.variant import ProtocolVariant
-from .skeleton import check_deadlock
+from .serve.manifest import (
+    BACKENDS,
+    DEADLOCK_BACKENDS,
+    ENGINES,
+    FORMATS,
+    SERIES_GENERATORS,
+    VARIANTS,
+    Manifest,
+)
 
 #: Backward-compatible alias — the spec parser moved to
 #: :mod:`repro.graph.specs` so non-CLI consumers (GraphRef
@@ -66,42 +74,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
-
-
-def _fault_spec(text: str) -> str:
-    """Argparse type for ``--faults``: validate every class/kind name
-    up front so a typo exits 2 with one line instead of surfacing as an
-    InjectionError mid-campaign."""
-    classes = tuple(item.strip() for item in text.split(",")
-                    if item.strip())
-    if not classes:
-        raise argparse.ArgumentTypeError(
-            "expected a comma-separated list of fault classes")
-    from .errors import InjectionError
-    from .inject.faults import resolve_classes
-
-    try:
-        resolve_classes(classes)
-    except InjectionError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-    return text
-
-
-def _window_spec(text: str) -> str:
-    """Argparse type for ``--window LO:HI``: malformed bounds exit 2
-    with one line instead of a ValueError traceback."""
-    lo_text, sep, hi_text = text.partition(":")
-    if not sep:
-        raise argparse.ArgumentTypeError(f"expected LO:HI, got {text!r}")
-    try:
-        lo, hi = int(lo_text), int(hi_text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"window bounds must be integers, got {text!r}")
-    if lo < 0 or hi <= lo:
-        raise argparse.ArgumentTypeError(
-            f"need 0 <= LO < HI, got [{lo}, {hi})")
-    return text
 
 
 def _version_string() -> str:
@@ -198,18 +170,18 @@ def main(argv=None) -> int:
                                    ledger_parent],
                           help="skeleton liveness check")
     p_dead.add_argument("topology")
-    p_dead.add_argument("--variant", type=_variant,
-                        default=ProtocolVariant.CASU,
-                        choices=list(ProtocolVariant))
-    p_dead.add_argument("--max-cycles", type=int, default=10_000,
+    p_dead.add_argument("--variant", choices=VARIANTS,
+                        default=Manifest.variant)
+    p_dead.add_argument("--max-cycles", type=int,
+                        default=Manifest.max_cycles,
                         help="cycle budget for reaching the periodic "
                              "regime; an inconclusive verdict exits 2")
     p_dead.add_argument("--metrics-out", default=None, metavar="FILE",
                         help="instrument the liveness probes and write "
                              "their metrics snapshot as JSON (forces "
                              "serial probing)")
-    p_dead.add_argument("--backend", choices=["scalar", "codegen"],
-                        default="scalar",
+    p_dead.add_argument("--backend", choices=DEADLOCK_BACKENDS,
+                        default=Manifest.deadlock_backend,
                         help="probe engine (codegen: per-topology "
                              "compiled cycle functions, same verdict)")
 
@@ -217,37 +189,35 @@ def main(argv=None) -> int:
         "inject", parents=[seed_parent, jobs_parent, ledger_parent,
                            progress_parent],
         help="fault-injection campaign with verdict classification")
-    p_inject.add_argument("--topology", default="feedback",
+    p_inject.add_argument("--topology", default=Manifest.topology,
                           help="topology spec (default: feedback, the "
                                "paper's Figure 2 loop)")
-    p_inject.add_argument("--variant", type=_variant,
-                          default=ProtocolVariant.CASU,
-                          choices=list(ProtocolVariant))
-    p_inject.add_argument("--faults", default="stop,void",
-                          type=_fault_spec,
+    p_inject.add_argument("--variant", choices=VARIANTS,
+                          default=Manifest.variant)
+    p_inject.add_argument("--faults", default=",".join(Manifest.faults),
                           help="comma-separated fault classes or kinds "
                                "(see repro.inject.FAULT_CLASSES)")
-    p_inject.add_argument("--cycles", type=int, default=200,
+    # --cycles/--samples/--exhaustive default to None (the manifest
+    # default) so a clash with --smoke is detected, not overridden.
+    p_inject.add_argument("--cycles", type=int, default=None,
                           help="run length of every experiment")
-    p_inject.add_argument("--samples", type=int, default=64,
+    p_inject.add_argument("--samples", type=int, default=None,
                           help="seeded-random sample size from the "
                                "fault universe")
     p_inject.add_argument("--exhaustive", action="store_true",
+                          default=None,
                           help="run every kind x target x cycle of the "
                                "window instead of sampling")
     p_inject.add_argument("--window", default=None, metavar="LO:HI",
-                          type=_window_spec,
                           help="restrict injection cycles to [LO, HI)")
-    p_inject.add_argument("--engine", choices=["lid", "skeleton"],
-                          default="lid",
+    p_inject.add_argument("--engine", choices=ENGINES,
+                          default=Manifest.engine,
                           help="lid: token-level scalar engine with "
                                "monitors; skeleton: batched "
                                "valid/stop-only engine (boundary "
                                "control faults)")
-    p_inject.add_argument("--backend",
-                          choices=["auto", "scalar", "vectorized",
-                                   "bitsim", "codegen"],
-                          default="auto",
+    p_inject.add_argument("--backend", choices=BACKENDS,
+                          default=Manifest.backend,
                           help="skeleton engine backend (bitsim: "
                                "bit-parallel planes, ~64 faults per "
                                "word-level run; codegen: per-topology "
@@ -259,7 +229,7 @@ def main(argv=None) -> int:
     p_inject.add_argument("--smoke", action="store_true",
                           help="small fast campaign for CI (64 cycles, "
                                "12 samples)")
-    p_inject.add_argument("--format", choices=["table", "json"],
+    p_inject.add_argument("--format", choices=FORMATS,
                           default="table")
     p_inject.add_argument("--output", "-o", default=None,
                           help="write the report here (default: stdout)")
@@ -333,8 +303,6 @@ def main(argv=None) -> int:
     p_series = sub.add_parser(
         "series", parents=[seed_parent, ledger_parent],
         help="emit a figure-style data series as CSV")
-    from .analysis.sweep import SERIES_GENERATORS
-
     p_series.add_argument("which", choices=sorted(SERIES_GENERATORS))
     p_series.add_argument("--output", "-o", default=None)
 
@@ -502,9 +470,9 @@ def main(argv=None) -> int:
         table, _rows = run_figure2()
         print(table)
     elif args.command == "deadlock":
-        return _deadlock(args)
+        return _deadlock(args, p_dead)
     elif args.command == "inject":
-        return _inject(args)
+        return _inject(args, p_inject)
     elif args.command == "stats":
         import json as _json
 
@@ -531,27 +499,11 @@ def main(argv=None) -> int:
                   f"{result.stuck_state}")
         return 0 if result.live else 1
     elif args.command == "series":
-        from time import perf_counter
-
-        from .analysis.sweep import SERIES_GENERATORS
-
-        started = perf_counter()
-        series = SERIES_GENERATORS[args.which]()
-        text = series.to_csv()
-        wall = perf_counter() - started
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            print(text, end="")
+        outcome = _execute(args, _manifest(p_series, kind="series",
+                                           which=args.which))
         if args.ledger is not None:
-            from .obs import make_record
-
-            _ledger_note(args.ledger, make_record(
-                "series",
-                params={"which": args.which},
-                verdict={"lines": len(text.splitlines())},
-                meta={"wall_seconds": round(wall, 6)}))
+            _ledger_note(args.ledger, outcome.record)
+        return outcome.exit_code
     elif args.command == "serve":
         return _serve(args)
     elif args.command == "client":
@@ -582,73 +534,78 @@ def _ledger_note(ledger_arg: str, record) -> None:
           f"to {path}", file=sys.stderr)
 
 
-def _deadlock(args) -> int:
-    """``deadlock``: liveness check + optional metrics/ledger record."""
-    from time import perf_counter
+def _manifest(parser, **fields) -> Manifest:
+    """The service manifest for a command's flags (``None`` = unset).
 
-    from .exec import GraphRef
+    :class:`~repro.serve.manifest.ManifestError` is the one validator:
+    a bad value exits 2 through *parser* with the message the service
+    answers with a 400.
+    """
+    from .serve.manifest import ManifestError
 
-    graph = _parse_topology(args.topology, seed=args.seed)
+    try:
+        return Manifest.from_dict({key: value for key, value
+                                   in fields.items() if value is not None})
+    except ManifestError as exc:
+        parser.error(str(exc))
+
+
+def _execute(args, manifest: Manifest, **hooks):
+    """Run *manifest* through :func:`repro.serve.dispatch.
+    execute_manifest` — the path ``repro-lid serve`` runs too — and
+    write the body to ``--output`` or stdout."""
+    from .serve.dispatch import DispatchError, execute_manifest
+
+    try:
+        outcome = execute_manifest(manifest, **hooks)
+    except DispatchError as exc:
+        raise SystemExit(f"repro-lid {args.command}: {exc}")
+    if getattr(args, "output", None):
+        with open(args.output, "wb") as fh:
+            fh.write(outcome.body)
+    else:
+        sys.stdout.write(outcome.body.decode())
+    return outcome
+
+
+def _write_metrics(path: str, metrics, **fields) -> None:
+    """Write a ``repro-metrics/v1`` JSON snapshot and say so."""
+    import json
+
+    from .bench.runner import git_rev
+
+    payload = dict(fields, schema="repro-metrics/v1", git_rev=git_rev(),
+                   metrics=metrics)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {path}")
+
+
+def _deadlock(args, parser) -> int:
+    """``deadlock``: liveness check + optional metrics/ledger record.
+
+    Uncached: the command has no cache flags.
+    """
+    manifest = _manifest(parser, kind="deadlock", topology=args.topology,
+                         seed=args.seed, variant=args.variant,
+                         max_cycles=args.max_cycles,
+                         deadlock_backend=args.backend)
     telemetry = None
     if args.metrics_out:
         from .obs import Telemetry
 
         telemetry = Telemetry.metrics_only()
-    started = perf_counter()
-    try:
-        verdict = check_deadlock(graph, variant=args.variant,
-                                 max_cycles=args.max_cycles,
-                                 jobs=args.jobs,
-                                 graph_ref=GraphRef.from_spec(
-                                     args.topology, seed=args.seed),
-                                 telemetry=telemetry,
-                                 backend=args.backend)
-    except ValueError as exc:
-        # Capability refusal (e.g. codegen on a GALS graph): a
-        # one-line diagnostic, not a traceback.
-        raise SystemExit(f"repro-lid deadlock: {exc}")
-    wall = perf_counter() - started
-    print(verdict.detail)
+    outcome = _execute(args, manifest, jobs=args.jobs, use_cache=False,
+                       telemetry=telemetry)
     if args.metrics_out:
-        import json
-
-        from .bench.runner import git_rev
-
-        payload = {
-            "schema": "repro-metrics/v1",
-            "topology": args.topology,
-            "variant": str(args.variant),
-            "max_cycles": args.max_cycles,
-            "git_rev": git_rev(),
-            "metrics": telemetry.metrics.snapshot(),
-        }
-        with open(args.metrics_out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.metrics_out}")
+        _write_metrics(args.metrics_out, telemetry.metrics.snapshot(),
+                       topology=manifest.topology,
+                       variant=manifest.variant,
+                       max_cycles=manifest.max_cycles)
     if args.ledger is not None:
-        from .exec import graph_fingerprint
-        from .obs import make_record
-
-        _ledger_note(args.ledger, make_record(
-            "deadlock-check",
-            topology=args.topology,
-            fingerprint=graph_fingerprint(graph),
-            variant=str(args.variant),
-            params={"max_cycles": args.max_cycles, "seed": args.seed},
-            verdict={
-                "deadlocked": verdict.deadlocked,
-                "potential": verdict.potential,
-                "inconclusive": verdict.inconclusive,
-                "transient": verdict.transient,
-                "period": verdict.period,
-            },
-            metrics=(telemetry.metrics.snapshot()
-                     if telemetry is not None else None),
-            meta={"wall_seconds": round(wall, 6), "jobs": args.jobs}))
-    if verdict.inconclusive:
-        return 2
-    return 0 if verdict.live else 1
+        _ledger_note(args.ledger, outcome.record)
+    return outcome.exit_code
 
 
 def _serve(args) -> int:
@@ -877,32 +834,18 @@ def _run_instrumented(graph, variant, cycles, telemetry):
 
 def _write_metrics_snapshot(graph, args) -> None:
     """``analyze --metrics-out``: instrumented run + JSON snapshot."""
-    import json
-
-    from .bench.runner import git_rev
     from .obs import Telemetry
 
-    telemetry = Telemetry.metrics_only()
-    system = _run_instrumented(graph, args.variant, args.cycles, telemetry)
-    payload = {
-        "schema": "repro-metrics/v1",
-        "topology": args.topology,
-        "variant": str(args.variant),
-        "cycles": args.cycles,
-        "git_rev": git_rev(),
-        "metrics": system.metrics_snapshot(),
-    }
-    with open(args.metrics_out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {args.metrics_out}")
+    system = _run_instrumented(graph, args.variant, args.cycles,
+                               Telemetry.metrics_only())
+    _write_metrics(args.metrics_out, system.metrics_snapshot(),
+                   topology=args.topology, variant=str(args.variant),
+                   cycles=args.cycles)
 
 
 def _reproduce(args) -> None:
     import json
     from time import perf_counter
-
-    from .bench.runner import git_rev
 
     overall_started = perf_counter()
     registry = None
@@ -962,15 +905,7 @@ def _reproduce(args) -> None:
         print(run_all())
 
     if registry is not None:
-        payload = {
-            "schema": "repro-metrics/v1",
-            "git_rev": git_rev(),
-            "metrics": registry.snapshot(),
-        }
-        with open(args.metrics_out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.metrics_out}")
+        _write_metrics(args.metrics_out, registry.snapshot())
 
     if ledger_path and not args.output:
         from .obs import make_record
@@ -983,130 +918,60 @@ def _reproduce(args) -> None:
                   "jobs": args.jobs}))
 
 
-def _inject(args) -> int:
+def _inject(args, parser) -> int:
     """``inject``: run a fault campaign and emit the report."""
-    import json
-    from time import perf_counter
-
-    from .bench.runner import git_rev
-    from .errors import InjectionError
-    from .exec import GraphRef, ResultCache
-    from .inject import run_campaign, skeleton_campaign
-    from .obs import Telemetry
-
-    graph = _parse_topology(args.topology, seed=args.seed)
-    cycles, samples, exhaustive = args.cycles, args.samples, args.exhaustive
-    if args.smoke:
-        cycles, samples, exhaustive = 64, 12, False
-    window = None
-    if args.window:
-        lo, _sep, hi = args.window.partition(":")
-        window = (int(lo), int(hi))
-    classes = tuple(
-        item.strip() for item in args.faults.split(",") if item.strip())
-    telemetry = None
+    manifest = _manifest(
+        parser, kind="campaign", topology=args.topology, seed=args.seed,
+        variant=args.variant, engine=args.engine, backend=args.backend,
+        faults=args.faults, cycles=args.cycles, samples=args.samples,
+        exhaustive=args.exhaustive, window=args.window,
+        strict=args.strict, smoke=args.smoke, format=args.format)
+    telemetry = trace = progress = None
     if args.metrics_out or args.trace_out:
-        from .obs import EventStream, MetricsRegistry, Profiler
+        from .obs import EventStream, MetricsRegistry, Profiler, Telemetry
 
         telemetry = Telemetry(
             events=EventStream() if args.trace_out else None,
             metrics=MetricsRegistry() if args.metrics_out else None,
             profiler=Profiler() if args.trace_out else None)
-    cache = None if args.no_cache else ResultCache.disk(args.cache_dir)
-
-    # The jobs count stays out of the canonical params: a serial and a
-    # --jobs N run of the same campaign must share span and run ids.
-    params = {
-        "engine": args.engine,
-        "backend": args.backend,
-        "cycles": cycles,
-        "samples": samples,
-        "seed": args.seed,
-        "classes": list(classes),
-        "exhaustive": bool(exhaustive),
-        "window": list(window) if window else None,
-        "strict": bool(args.strict),
-    }
-    fingerprint = span = trace = None
-    if args.ledger is not None or args.trace_out:
-        from .exec import graph_fingerprint
-        from .obs import span_id
-
-        fingerprint = graph_fingerprint(graph)
-        span = span_id("inject-campaign", fingerprint,
-                       str(args.variant), params)
     if args.trace_out:
         from .exec import TraceCollection
 
-        trace = TraceCollection(run_id=span)
-    progress = None
+        trace = TraceCollection()
     if args.progress:
         from .obs import ProgressReporter
 
         progress = ProgressReporter(
             0, label="inject",
-            stream=telemetry.events if telemetry is not None else None,
-            cache=cache.stats if cache is not None else None)
+            stream=telemetry.events if telemetry is not None else None)
+    outcome = _execute(args, manifest, jobs=args.jobs,
+                       use_cache=not args.no_cache,
+                       cache_dir=args.cache_dir, progress=progress,
+                       telemetry=telemetry, trace=trace)
+    counts = outcome.record["payload"]["verdict"]
+    meta = outcome.record["meta"]
 
-    common = dict(variant=args.variant, classes=classes, cycles=cycles,
-                  window=window, exhaustive=exhaustive, samples=samples,
-                  seed=args.seed, telemetry=telemetry, jobs=args.jobs,
-                  cache=cache, progress=progress, trace=trace)
-    started = perf_counter()
-    try:
-        if args.engine == "skeleton":
-            report = skeleton_campaign(graph, backend=args.backend,
-                                       strict=args.strict, **common)
-        else:
-            report = run_campaign(
-                graph, strict=args.strict,
-                graph_ref=GraphRef.from_spec(args.topology,
-                                             seed=args.seed),
-                **common)
-    except InjectionError as exc:
-        raise SystemExit(f"repro-lid inject: {exc}")
-    wall = perf_counter() - started
-
-    if args.format == "json":
-        text = report.to_json()
-    else:
-        text = report.format_table() + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        counts = report.counts()
         summary = "  ".join(f"{k}={v}" for k, v in counts.items())
-        execution = report.execution or {}
-        extra = f"  jobs={execution.get('jobs', 1)}"
-        stats = execution.get("cache")
+        extra = f"  jobs={meta['jobs']}"
+        stats = meta.get("cache")
         if stats is not None:
             extra += (f" cache-hits={stats['hits']}"
                       f" cache-misses={stats['misses']}")
-        print(f"wrote {args.output}: {len(report.results)} experiments "
-              f"(seed {args.seed}): {summary}{extra}")
-    else:
-        print(text, end="")
+        print(f"wrote {args.output}: {sum(counts.values())} experiments "
+              f"(seed {manifest.seed}): {summary}{extra}")
 
     if args.metrics_out:
-        payload = {
-            "schema": "repro-metrics/v1",
-            "topology": args.topology,
-            "variant": str(args.variant),
-            "seed": args.seed,
-            "git_rev": git_rev(),
-            "metrics": telemetry.metrics.snapshot(),
-        }
-        with open(args.metrics_out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.metrics_out}")
+        _write_metrics(args.metrics_out, telemetry.metrics.snapshot(),
+                       topology=manifest.topology,
+                       variant=manifest.variant, seed=manifest.seed)
 
     if args.trace_out:
         from .obs import write_merged_chrome_trace
 
         merged = write_merged_chrome_trace(
-            telemetry.events, trace.traces if trace is not None else (),
-            args.trace_out, profiler=telemetry.profiler, run_id=span)
+            telemetry.events, trace.traces, args.trace_out,
+            profiler=telemetry.profiler, run_id=outcome.span)
         other = merged.get("otherData", {})
         print(f"wrote {args.trace_out}: merged trace, "
               f"{other.get('worker_lanes', 0)} worker lane(s), "
@@ -1114,24 +979,8 @@ def _inject(args) -> int:
               f"{other.get('dropped', 0)} dropped")
 
     if args.ledger is not None:
-        from .obs import make_record
-
-        execution = report.execution or {}
-        meta = {"wall_seconds": round(wall, 6), "jobs": args.jobs}
-        if execution.get("cache") is not None:
-            meta["cache"] = execution["cache"]
-        _ledger_note(args.ledger, make_record(
-            "inject-campaign",
-            topology=args.topology,
-            fingerprint=fingerprint,
-            variant=str(args.variant),
-            params=params,
-            verdict=dict(report.counts()),
-            metrics=(telemetry.metrics.snapshot()
-                     if telemetry is not None
-                     and telemetry.metrics is not None else None),
-            meta=meta))
-    return 0
+        _ledger_note(args.ledger, outcome.record)
+    return outcome.exit_code
 
 
 def _trace(args) -> int:

@@ -152,3 +152,15 @@ class AnalysisError(ReproError):
 
 class ElaborationError(ReproError):
     """RTL elaboration failed (unbound port, width mismatch, bad primitive)."""
+
+
+class BackendUnavailable(ReproError, ValueError):
+    """A simulation backend cannot run the given design.
+
+    E.g. the bit-parallel or compiled skeleton engine asked to run a
+    GALS graph (both model single-clock systems only).  A capability
+    refusal, not an engine failure: callers report it as a one-line
+    diagnostic (the CLI) or an HTTP 400 (the campaign service).
+    Subclasses :class:`ValueError` for callers that caught the raw
+    refusal.
+    """

@@ -7,22 +7,23 @@ content-addressed :class:`~repro.exec.ResultCache`, collapses
 concurrent identical requests onto a single golden run
 (:class:`AsyncSingleFlight`), applies token-bucket rate limiting and
 bounded-queue backpressure, and shards cold work across a persistent
-worker pool.  Served responses are byte-identical to the offline CLI
+worker pool.  Workers run :func:`execute_manifest` — the same function
+the offline ``repro-lid inject``/``deadlock``/``series`` commands call
+— so served responses are byte-identical to the offline CLI
 (`docs/serving.md` states the exact contract) and served runs land in
 the same run ledger with the same content-addressed ids.
+
+The asyncio-backed names (server, scheduler, coalescer) resolve on
+first access, so the CLI's manifest path imports neither ``asyncio``
+nor the HTTP layer.
 
 Layering: ``repro.serve`` sits above the engines and ``repro.exec`` /
 ``repro.obs`` and must never import ``repro.cli`` (enforced by
 ``tools/check_layering.py``); the CLI imports *this* package.
 """
 
-from .app import (
-    CampaignServer,
-    ServerHandle,
-    run_server,
-    start_in_thread,
-)
-from .coalesce import AsyncSingleFlight
+from importlib import import_module
+
 from .dispatch import (
     DispatchError,
     ServeOutcome,
@@ -31,12 +32,29 @@ from .dispatch import (
 )
 from .manifest import Manifest, ManifestError
 from .ratelimit import RateLimiter, TokenBucket
-from .scheduler import (
-    DEFAULT_QUEUE_DEPTH,
-    CampaignScheduler,
-    ServeRejected,
-    ServeStats,
-)
+
+#: Public name -> submodule, for the names resolved lazily.
+_LAZY = {
+    "AsyncSingleFlight": "coalesce",
+    "CampaignScheduler": "scheduler",
+    "CampaignServer": "app",
+    "DEFAULT_QUEUE_DEPTH": "scheduler",
+    "ServeRejected": "scheduler",
+    "ServeStats": "scheduler",
+    "ServerHandle": "app",
+    "run_server": "app",
+    "start_in_thread": "app",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute "
+                             f"{name!r}")
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "AsyncSingleFlight",

@@ -268,6 +268,10 @@ class CampaignServer:
             await write_line({"event": "error", "status": exc.status,
                               "message": str(exc)})
             return
+        except (ManifestError, DispatchError) as exc:
+            await write_line({"event": "error", "status": 400,
+                              "message": str(exc)})
+            return
         except Exception as exc:
             await write_line({"event": "error", "status": 500,
                               "message": f"{type(exc).__name__}: {exc}"})

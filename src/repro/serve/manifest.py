@@ -3,18 +3,20 @@
 A **manifest** is the JSON body a client POSTs to the campaign
 service: which kind of work to run (fault campaign, deadlock check, or
 a figure-style data series), on which topology spec, with which
-parameters.  Every field mirrors the corresponding ``repro-lid`` CLI
-flag — same names, same defaults — because the service's determinism
-contract is *byte-identity with the offline CLI*: a manifest and the
-equivalent ``repro-lid inject``/``deadlock``/``series`` invocation
-produce the same output bytes and the same content-addressed ledger
-``run_id``.
+parameters.  It is also what the offline CLI runs: ``repro-lid
+inject``/``deadlock``/``series`` turn their flags into a manifest
+(argparse choices and defaults come from the constants and field
+defaults here) and execute it through
+:func:`repro.serve.dispatch.execute_manifest`, so a manifest and the
+equivalent invocation produce the same output bytes and the same
+content-addressed ledger ``run_id``.
 
 Validation happens entirely up front (:meth:`Manifest.from_dict`):
-unknown kinds, topologies, variants, fault classes and malformed
-windows raise :class:`ManifestError` with a one-line message that maps
-to an HTTP 400 — nothing reaches the worker pool that could surface as
-a traceback from deep inside the engines.
+unknown kinds, topologies, variants, fault classes, out-of-range counts
+and malformed windows raise :class:`ManifestError` with a one-line
+message that maps to an HTTP 400 (and, on the CLI, to an argparse
+``error:`` line with exit status 2) — nothing reaches the engines that
+could surface as a traceback from deep inside them.
 
 :meth:`Manifest.params` renders the **canonical parameter dict** — the
 exact dict the CLI puts into ledger records — so the service's span and
@@ -26,10 +28,14 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Dict, Optional, Tuple
 
+from ..analysis.sweep import SERIES_GENERATORS
+
 #: Work kinds the service dispatches.
 KINDS = ("campaign", "deadlock", "series")
 
-#: CLI parity: `repro-lid inject --engine/--backend` choices.
+#: The choices of `repro-lid inject --engine/--backend/--format`,
+#: `deadlock --backend` and `inject`/`deadlock --variant` (`series`
+#: takes :data:`SERIES_GENERATORS` keys).
 ENGINES = ("lid", "skeleton")
 BACKENDS = ("auto", "scalar", "vectorized", "bitsim", "codegen")
 DEADLOCK_BACKENDS = ("scalar", "codegen")
@@ -117,9 +123,10 @@ def validate_window(window: Any,
 class Manifest:
     """One validated unit of service work (picklable, hashable).
 
-    Field defaults mirror the CLI's argparse defaults exactly;
-    :attr:`stream` is transport-level (NDJSON progress) and never
-    enters the canonical identity.
+    Field defaults are the CLI's argparse defaults, with one
+    exception: :attr:`format` defaults to ``json`` here and to
+    ``table`` on the CLI.  :attr:`stream` is transport-level (NDJSON
+    progress) and never enters the canonical identity.
     """
 
     kind: str
@@ -175,8 +182,6 @@ class Manifest:
             fields["stream"] = _as_bool(payload["stream"], "stream")
 
         if kind == "series":
-            from ..analysis.sweep import SERIES_GENERATORS
-
             which = payload.get("which")
             _require(which in SERIES_GENERATORS,
                      f"series 'which' must be one of "

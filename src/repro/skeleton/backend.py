@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from ..errors import BackendUnavailable
 from ..graph.model import SystemGraph
 from ..ir import LoweredSystem, lower
 from ..lid.variant import DEFAULT_VARIANT, ProtocolVariant
@@ -520,8 +521,8 @@ def select(
     sources = _normalize(source_patterns, width)
     sinks = _normalize(sink_patterns, width)
 
-    def _unavailable(name: str, reason: str) -> ValueError:
-        return ValueError(
+    def _unavailable(name: str, reason: str) -> BackendUnavailable:
+        return BackendUnavailable(
             f"{name} backend unavailable: {reason}; available "
             f"backends: "
             + ", ".join(available_backends(graph, variant)))

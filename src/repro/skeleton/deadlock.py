@@ -170,7 +170,7 @@ def check_deadlock(
     ``"codegen"`` (compiled per-topology cycle functions — same
     verdict, less wall clock on long transients).
     """
-    from ..errors import ExecutionError, PeriodicityTimeout
+    from ..errors import BackendUnavailable, ExecutionError, PeriodicityTimeout
     from ..exec import GraphRef, graph_fingerprint, map_deterministic
 
     sim_class = _sim_class(backend)
@@ -180,7 +180,8 @@ def check_deadlock(
         from .backend import _is_single_clock, _single_clock_reason
 
         if not _is_single_clock(graph):
-            raise ValueError(_single_clock_reason(graph, "codegen"))
+            raise BackendUnavailable(
+                _single_clock_reason(graph, "codegen"))
 
     key = None
     if cache is not None:

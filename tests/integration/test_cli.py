@@ -151,6 +151,19 @@ class TestGalsCommands:
         out = capsys.readouterr().out
         assert '"bridge-overflow"' in out or '"bridge-underflow"' in out
 
+    def test_inject_bitsim_refuses_gals(self, capsys):
+        """A backend that cannot run the design is a one-line
+        diagnostic naming the usable backends, not a traceback."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["inject", "--smoke", "--topology", self.RING,
+                  "--engine", "skeleton", "--backend", "bitsim",
+                  "--no-cache"])
+        message = str(excinfo.value.code)
+        assert message.startswith("repro-lid inject: bitsim backend "
+                                  "unavailable")
+        assert "available backends: scalar, vectorized" in message
+        assert "\n" not in message
+
     def test_inject_lid_engine_refuses_gals(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["inject", "--smoke", "--topology", self.RING,
@@ -304,6 +317,12 @@ class TestArgparseValidation:
         ["serve", "--jobs", "0"],
         ["serve", "--queue-depth", "0"],
         ["client", "--concurrency", "0"],
+        ["inject", "--samples", "0"],
+        ["inject", "--cycles", "0"],
+        ["inject", "--smoke", "--exhaustive"],
+        ["inject", "--smoke", "--cycles", "100"],
+        ["inject", "--cycles", "50", "--window", "0:500"],
+        ["deadlock", "figure2", "--max-cycles", "0"],
     ])
     def test_bad_flag_exits_2(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:

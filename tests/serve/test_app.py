@@ -112,6 +112,19 @@ class TestRoutes:
         assert status == 400
         assert "fault" in json.loads(body)["error"]
 
+    @pytest.mark.parametrize("manifest", [
+        {"kind": "deadlock", "deadlock_backend": "codegen",
+         "topology": "gals-chain:rates=1+1/2,depth=2"},
+        {"kind": "campaign", "engine": "skeleton", "backend": "bitsim",
+         "smoke": True, "topology": "gals-ring:rates=1+2/3,depth=2"},
+    ], ids=["deadlock-codegen", "campaign-bitsim"])
+    def test_capability_refusal_400(self, server, manifest):
+        """A backend that cannot run the design is the client's
+        error (400), not a worker failure (500)."""
+        status, _h, body = post(server, manifest)
+        assert status == 400
+        assert "multi-clock" in json.loads(body)["error"]
+
     def test_kind_route_aliases(self, server):
         status, headers, body = post(server, {"topology": "feedback"},
                                      path="/v1/deadlock")
@@ -305,3 +318,19 @@ class TestStreaming:
         assert final["exit_code"] == 0
         done = [event["done"] for event in events[:-1]]
         assert done == sorted(done), "progress is monotonic"
+
+    def test_streamed_capability_refusal_is_400(self, server):
+        conn = http.client.HTTPConnection("127.0.0.1", server.port,
+                                          timeout=120)
+        try:
+            conn.request("POST", "/v1/run", body=json.dumps({
+                "kind": "deadlock", "deadlock_backend": "codegen",
+                "topology": "gals-chain:rates=1+1/2,depth=2",
+                "stream": True}))
+            events = [json.loads(line) for line
+                      in conn.getresponse().read().splitlines()
+                      if line.strip()]
+        finally:
+            conn.close()
+        assert events[-1]["event"] == "error"
+        assert events[-1]["status"] == 400

@@ -16,9 +16,9 @@ the *forbidden prefixes*):
   through the string-keyed :mod:`repro._registry` service locator;
 * ``repro.exec`` must not import ``repro.cli`` — workers materialize
   :class:`~repro.exec.graphs.GraphRef` via ``repro.graph.specs``;
-* ``repro.serve`` must not import ``repro.cli`` — the campaign service
-  replicates CLI semantics through the same engine entry points, never
-  by calling back into the argparse frontend;
+* ``repro.serve`` must not import ``repro.cli`` — the CLI calls into
+  the service's ``execute_manifest``, never the other way round, so the
+  argparse frontend stays a thin layer over the one execution path;
 * ``repro.skeleton.codegen`` consumes only ``repro.ir`` (its input is
   a :class:`~repro.ir.LoweredSystem`) and ``repro.exec.cache`` (the
   optional compile-cache disk layer, duck-typed) besides its own
