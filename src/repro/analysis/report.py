@@ -14,15 +14,10 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from ..graph.model import SystemGraph
+from ..ir import LoweredSystem, lower
 from ..lid.variant import DEFAULT_VARIANT, ProtocolVariant
 from .mcr import min_cycle_ratio_throughput
-from .throughput import (
-    analyze_loops,
-    analyze_reconvergence,
-    reconvergence_pairs,
-    static_system_throughput,
-)
-from .transient import analyze_transient
+from .throughput import _reconvergence_census, _static_minimum, analyze_loops
 
 
 @dataclasses.dataclass
@@ -87,21 +82,22 @@ class SystemReport:
 
 def classify(graph: SystemGraph) -> str:
     """Name the paper's topology class this graph belongs to."""
-    loops = graph.shell_cycles()
-    pairs = reconvergence_pairs(graph)
-    if loops and pairs:
+    low = lower(graph)
+    return _topology_class(low, low.shell_cycles(), _reconvergence_census(low))
+
+
+def _topology_class(low: LoweredSystem, loops, census) -> str:
+    if loops and census:
         base = "feed-forward combination of self-interacting loops"
     elif loops:
         base = "feedback"
-    elif pairs:
+    elif census:
         base = "reconvergent feed-forward"
     else:
         base = "tree / pipeline (feed-forward)"
-    if not graph.is_single_clock():
-        from ..ir import lower
-
+    if not low.single_clock:
         # The lowering keeps only the domains that actually host nodes.
-        return f"GALS ({len(lower(graph).domains)} clock domains) {base}"
+        return f"GALS ({len(low.domains)} clock domains) {base}"
     return base
 
 
@@ -116,37 +112,35 @@ def analyze(
 ) -> SystemReport:
     """Run every analysis on *graph* and return the combined report.
 
-    *jobs*, *graph_ref* and *cache* are forwarded to the liveness check
-    (see :func:`repro.skeleton.deadlock.check_deadlock`); the report is
-    identical for any ``jobs`` value.
+    The simulated throughput, transient and period come from the
+    liveness check's optimistic run to period (see
+    :func:`repro.skeleton.deadlock.check_deadlock`, which gets *jobs*,
+    *graph_ref* and *cache*; the report is identical for any ``jobs``).
     """
+    from ..errors import PeriodicityTimeout
     from ..skeleton.deadlock import check_deadlock
-    from ..skeleton.sim import SkeletonSim
+    from ..skeleton.periodicity import transient_bound
 
-    loops = analyze_loops(graph)
-    recon: List[Tuple[str, str, int, int, Fraction]] = []
-    for div, join in reconvergence_pairs(graph):
-        try:
-            i, m, rate = analyze_reconvergence(graph, div, join)
-        except Exception:
-            continue
-        recon.append((div, join, i, m, rate))
-
-    if graph.is_single_clock():
-        mcr = min_cycle_ratio_throughput(graph)
+    low = lower(graph)
+    loops = analyze_loops(low)
+    census = _reconvergence_census(low)
+    static = _static_minimum(low, loops, census)
+    if low.single_clock:
+        mcr = min_cycle_ratio_throughput(low)
         mcr_throughput, critical_cycle = mcr.throughput, mcr.critical_cycle
     else:
         # The marked-graph model has no firing schedules; report the
         # certified GALS bound in the MCR slot (exact for feed-forward
         # compositions, upper bound for cyclic ones).
-        mcr_throughput = static_system_throughput(graph)
-        critical_cycle = []
-    sim = SkeletonSim(graph, variant=variant)
-    result = sim.run(max_cycles=max_cycles)
+        mcr_throughput, critical_cycle = static, []
     verdict = check_deadlock(graph, variant=variant, max_cycles=max_cycles,
                              jobs=jobs, graph_ref=graph_ref, cache=cache)
-    transient = analyze_transient(graph, variant=variant,
-                                  max_cycles=max_cycles)
+    result = verdict.optimistic
+    if result is None:
+        raise PeriodicityTimeout(
+            f"{graph.name}: no periodicity within {max_cycles} cycles "
+            f"(state space larger than expected)",
+            graph=graph.name, max_cycles=max_cycles)
 
     return SystemReport(
         name=graph.name,
@@ -155,15 +149,15 @@ def analyze(
         relays_full=graph.relay_count("full"),
         relays_half=(graph.relay_count("half")
                      + graph.relay_count("half-registered")),
-        topology_class=classify(graph),
+        topology_class=_topology_class(low, loops, census),
         loops=loops,
-        reconvergences=recon,
-        static_throughput=static_system_throughput(graph),
+        reconvergences=census,
+        static_throughput=static,
         mcr_throughput=mcr_throughput,
         critical_cycle=critical_cycle,
         simulated_throughput=result.min_shell_throughput(),
         transient=result.transient,
         period=result.period,
-        transient_bound=transient.static_bound,
+        transient_bound=transient_bound(graph),
         deadlock_verdict=verdict.detail,
     )

@@ -108,43 +108,63 @@ def tree_throughput(graph: SystemGraph) -> Fraction:
 # -- reconvergence extraction ---------------------------------------------
 
 
+def _reconvergence_census(
+    low: LoweredSystem,
+    candidates: Optional[Sequence[Tuple[str, str]]] = None,
+) -> List[Tuple[str, str, int, int, Fraction]]:
+    """``(divergence, join, i, m, T)`` for every reconvergent pair.
+
+    One max-flow (``node_disjoint_paths``) per candidate pair, by
+    default every (shell or source, shell with >= 2 inputs) pair.
+    """
+    g = low.block_digraph()
+    hop_relays: Dict[Tuple[str, str], int] = {}
+    for e in low.edges:  # parallel edges: tokens take the shortest chain
+        hop = (e.src_name, e.dst_name)
+        hop_relays[hop] = min(hop_relays.get(hop, e.relay_count),
+                              e.relay_count)
+    if candidates is None:
+        joins = [n.name for n in low.nodes
+                 if n.kind == "shell" and len(low.in_edges(n.name)) >= 2]
+        candidates = [(div.name, join) for div in low.nodes
+                      if div.kind != "sink"
+                      for join in joins if join != div.name]
+    census = []
+    for div, join in candidates:
+        try:
+            paths = list(nx.node_disjoint_paths(g, div, join))
+        except nx.NetworkXNoPath:
+            continue
+        if len(paths) < 2:
+            continue
+        counted = sorted(
+            ((sum(hop_relays[hop] for hop in zip(p, p[1:])), p)
+             for p in paths), key=lambda pair: (pair[0], len(pair[1])))
+        # Tie-break equal relay counts by path length so the branch with
+        # more shells is treated as the long one (m is well defined; T
+        # is unaffected since i = 0 on ties).
+        short_relays, _short_path = counted[0]
+        long_relays, long_path = counted[-1]
+        imbalance = long_relays - short_relays
+        # Storage positions on the implicit loop: all relay stations of
+        # both branches, plus the output registers of the shells feeding
+        # the long branch (divergence node included when it is a shell,
+        # join excluded).
+        m = long_relays + short_relays + sum(
+            1 for name in long_path[:-1] if low.node(name).kind == "shell")
+        census.append((div, join, imbalance, m,
+                       reconvergent_throughput(imbalance, m)))
+    return census
+
+
 def reconvergence_pairs(graph: SystemGraph) -> List[Tuple[str, str]]:
     """(divergence, join) node pairs with >= 2 disjoint directed paths.
 
     Only shells/sources qualify as divergence points and only shells as
     joins (a sink has a single input channel).
     """
-    low = _as_lowered(graph)
-    g = low.block_digraph()
-    pairs: List[Tuple[str, str]] = []
-    for div_node in low.nodes:
-        if div_node.kind == "sink":
-            continue
-        div = div_node.name
-        for join_node in low.nodes:
-            join = join_node.name
-            if join == div or join_node.kind != "shell":
-                continue
-            if len(low.in_edges(join)) < 2:
-                continue
-            try:
-                paths = list(nx.node_disjoint_paths(g, div, join))
-            except nx.NetworkXNoPath:
-                continue
-            if len(paths) >= 2:
-                pairs.append((div, join))
-    return pairs
-
-
-def _path_relay_count(low: LoweredSystem, path: Sequence[str]) -> int:
-    total = 0
-    for a, b in zip(path, path[1:]):
-        candidates = [e.relay_count for e in low.edges
-                      if e.src_name == a and e.dst_name == b]
-        if not candidates:
-            raise AnalysisError(f"no edge {a!r}->{b!r} on path")
-        total += min(candidates)
-    return total
+    return [(div, join) for div, join, *_terms
+            in _reconvergence_census(_as_lowered(graph))]
 
 
 def analyze_reconvergence(
@@ -159,33 +179,12 @@ def analyze_reconvergence(
     two branches the extreme pair (most vs fewest relay stations)
     determines the throughput.
     """
-    low = _as_lowered(graph)
-    g = low.block_digraph()
-    try:
-        paths = list(nx.node_disjoint_paths(g, divergence, join))
-    except nx.NetworkXNoPath:
-        raise AnalysisError(f"no path {divergence!r} -> {join!r}") from None
-    if len(paths) < 2:
+    census = _reconvergence_census(_as_lowered(graph), [(divergence, join)])
+    if not census:
         raise AnalysisError(
             f"{divergence!r} -> {join!r} is not reconvergent "
-            f"(only {len(paths)} disjoint path)"
-        )
-    counted = [( _path_relay_count(low, p), p) for p in paths]
-    # Tie-break equal relay counts by path length so the branch with
-    # more shells is treated as the long one (m is well defined; T is
-    # unaffected since i = 0 on ties).
-    counted.sort(key=lambda pair: (pair[0], len(pair[1])))
-    short_relays, _short_path = counted[0]
-    long_relays, long_path = counted[-1]
-    imbalance = long_relays - short_relays
-    # Storage positions on the implicit loop: all relay stations of both
-    # branches, plus the output registers of the shells feeding the long
-    # branch (divergence node included when it is a shell, join excluded).
-    shells_on_long = sum(
-        1 for name in long_path[:-1] if low.node(name).kind == "shell"
-    )
-    m = long_relays + short_relays + shells_on_long
-    return imbalance, m, reconvergent_throughput(imbalance, m)
+            f"(fewer than 2 node-disjoint paths)")
+    return census[0][2:]
 
 
 def analyze_loops(graph: SystemGraph) -> Dict[Tuple[str, ...], Fraction]:
@@ -350,19 +349,23 @@ def static_system_throughput(graph: SystemGraph) -> Fraction:
     values.
     """
     low = _as_lowered(graph)
-    best = domain_rate_bound(low)
+    census = _reconvergence_census(low) if low.single_clock else []
+    return _static_minimum(low, analyze_loops(low), census)
+
+
+def _static_minimum(
+    low: LoweredSystem,
+    loops: Dict[Tuple[str, ...], Fraction],
+    census: Sequence[Tuple[str, str, int, int, Fraction]],
+) -> Fraction:
+    """:func:`static_system_throughput` from a precomputed loop map and
+    reconvergence census (the census is ignored on GALS graphs)."""
+    rates = [domain_rate_bound(low), *loops.values()]
     if any(bridge.depth == 1 for bridge in low.bridges):
-        best = min(best, Fraction(1, 2))
-    for _cycle, rate in analyze_loops(low).items():
-        best = min(best, rate)
+        rates.append(Fraction(1, 2))
     if low.single_clock:
-        for div, join in reconvergence_pairs(low):
-            try:
-                _i, _m, rate = analyze_reconvergence(low, div, join)
-            except AnalysisError:
-                continue
-            best = min(best, rate)
-    return best
+        rates.extend(rate for *_pair, rate in census)
+    return min(rates)
 
 
 def simulated_throughput(

@@ -141,7 +141,7 @@ def main(argv=None) -> int:
                            help="cycles for the --metrics-out run")
     p_analyze.add_argument("--max-cycles", type=int, default=50_000,
                            help="skeleton cycle budget for the dynamic "
-                                "analyses; exceeding it exits 2 with a "
+                                "analyses; exceeding it exits 3 with a "
                                 "diagnostic instead of a traceback")
 
     sub.add_parser("verify", parents=[seed_parent],
@@ -175,7 +175,7 @@ def main(argv=None) -> int:
     p_dead.add_argument("--max-cycles", type=int,
                         default=Manifest.max_cycles,
                         help="cycle budget for reaching the periodic "
-                             "regime; an inconclusive verdict exits 2")
+                             "regime; an inconclusive verdict exits 3")
     p_dead.add_argument("--metrics-out", default=None, metavar="FILE",
                         help="instrument the liveness probes and write "
                              "their metrics snapshot as JSON (forces "
@@ -449,7 +449,7 @@ def main(argv=None) -> int:
         except PeriodicityTimeout as exc:
             print(f"inconclusive: {exc} — raise --max-cycles",
                   file=sys.stderr)
-            return 2
+            return 3
         print(report.render())
         if args.metrics_out:
             _write_metrics_snapshot(graph, args)

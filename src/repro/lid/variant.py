@@ -49,19 +49,6 @@ class ProtocolVariant(enum.Enum):
         """
         return self is ProtocolVariant.CASU
 
-    @property
-    def capabilities(self) -> frozenset:
-        """Semantic capability tags for backend selection.
-
-        ``repro.skeleton.backend.select`` checks these against what an
-        engine implements instead of hard-coding variant lists.
-        """
-        tags = {"skeleton-scalar", "skeleton-vectorized",
-                "skeleton-bitsim", "skeleton-codegen"}
-        if self.discards_void_stops:
-            tags.add("discards-void-stops")
-        return frozenset(tags)
-
     # -- decision helpers (used by shell and relay stations) -----------
 
     def output_blocked(self, stop: bool, output_valid: bool) -> bool:

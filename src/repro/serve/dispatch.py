@@ -245,7 +245,7 @@ def _execute_deadlock(manifest: Manifest, *, jobs: int, use_cache: bool,
                              cache=cache,
                              backend=manifest.deadlock_backend)
     wall = perf_counter() - started
-    exit_code = 2 if verdict.inconclusive else (0 if verdict.live else 1)
+    exit_code = 3 if verdict.inconclusive else (0 if verdict.live else 1)
     return _outcome(manifest, verdict.detail + "\n", "detail",
                     exit_code=exit_code, wall=wall, cache=cache,
                     telemetry=telemetry, topology=manifest.topology,

@@ -21,9 +21,7 @@ test_backend_conformance.py``) is the contract that keeps the
 engines interchangeable — any future engine must join that suite
 before :func:`select` may return it.
 
-Selection policy: the vectorized engine is used whenever numpy is
-importable, the variant advertises the ``skeleton-vectorized``
-capability (see :attr:`ProtocolVariant.capabilities`) and the sweep is
+Selection policy: the vectorized engine is used whenever the sweep is
 wider than one instance; otherwise the scalar engine is fanned out.
 ``backend="scalar"``/``"vectorized"``/``"bitsim"``/``"codegen"``
 forces the choice — the bit-plane and codegen engines are opt-in
@@ -73,15 +71,9 @@ def vectorized_supported(graph: SystemGraph,
                          variant: ProtocolVariant) -> Tuple[bool, str]:
     """Can the vectorized engine run this (graph, variant)?
 
-    Returns ``(supported, reason)``; *reason* explains a refusal.
+    Returns ``(supported, reason)``; the engine runs every graph
+    (GALS included) under every variant, so it never refuses.
     """
-    if "skeleton-vectorized" not in variant.capabilities:
-        return False, (f"variant {variant} lacks the "
-                       f"'skeleton-vectorized' capability")
-    try:
-        import numpy  # noqa: F401
-    except ImportError:  # pragma: no cover - numpy is a hard dep
-        return False, "numpy is not importable"
     return True, ""
 
 
@@ -94,13 +86,6 @@ def bitsim_supported(graph: SystemGraph,
     (``accept_history`` et al.) return numpy arrays to stay
     interchangeable with the other backends.
     """
-    if "skeleton-bitsim" not in variant.capabilities:
-        return False, (f"variant {variant} lacks the "
-                       f"'skeleton-bitsim' capability")
-    try:
-        import numpy  # noqa: F401
-    except ImportError:  # pragma: no cover - numpy is a hard dep
-        return False, "numpy is not importable"
     if not _is_single_clock(graph):
         return False, _single_clock_reason(graph, "bitsim")
     return True, ""
@@ -115,9 +100,6 @@ def codegen_supported(graph: SystemGraph,
     unified handle's count accessors are inherited from the scalar
     backend and return numpy arrays like every other backend.
     """
-    if "skeleton-codegen" not in variant.capabilities:
-        return False, (f"variant {variant} lacks the "
-                       f"'skeleton-codegen' capability")
     if not _is_single_clock(graph):
         return False, _single_clock_reason(graph, "codegen")
     return True, ""
@@ -277,39 +259,32 @@ class ScalarBackend(_Backend):
             for _ in range(cycles):
                 sim.step()
 
+    def _histories(self, attr: str, width: int):
+        """Every sim's per-cycle history as a (cycles, width) array."""
+        import numpy as np
+
+        return [np.asarray(history, dtype=bool).reshape(len(history), width)
+                for history in (getattr(sim, attr) for sim in self.sims)]
+
     def fire_counts(self):
         import numpy as np
 
-        counts = np.zeros((len(self.shell_names), self.batch),
-                          dtype=np.int64)
-        for i, sim in enumerate(self.sims):
-            for fires in sim.fire_history:
-                for j, fired in enumerate(fires):
-                    counts[j, i] += fired
-        return counts
+        return np.stack([h.sum(axis=0, dtype=np.int64) for h in
+                         self._histories("fire_history",
+                                         len(self.shell_names))], axis=1)
 
     def accept_counts(self):
         import numpy as np
 
-        counts = np.zeros((len(self.sink_names), self.batch),
-                          dtype=np.int64)
-        for i, sim in enumerate(self.sims):
-            for accepts in sim.accept_history:
-                for j, accepted in enumerate(accepts):
-                    counts[j, i] += accepted
-        return counts
+        return np.stack([h.sum(axis=0, dtype=np.int64) for h in
+                         self._histories("accept_history",
+                                         len(self.sink_names))], axis=1)
 
     def accept_history(self):
         import numpy as np
 
-        cycles = len(self.sims[0].accept_history) if self.sims else 0
-        history = np.zeros((cycles, len(self.sink_names), self.batch),
-                           dtype=bool)
-        for i, sim in enumerate(self.sims):
-            for cycle, accepts in enumerate(sim.accept_history):
-                for j, accepted in enumerate(accepts):
-                    history[cycle, j, i] = accepted
-        return history
+        return np.stack(self._histories("accept_history",
+                                        len(self.sink_names)), axis=2)
 
     def stop_assertion_counts(self):
         import numpy as np
@@ -538,12 +513,8 @@ def select(
             raise _unavailable("codegen", reason)
         cls = CodegenBackend
     else:
-        supported, reason = vectorized_supported(graph, variant)
-        if backend == "vectorized" and not supported:
-            raise _unavailable("vectorized", reason)
         use_vectorized = (backend == "vectorized"
-                          or (backend == "auto" and supported
-                              and width > 1))
+                          or (backend == "auto" and width > 1))
         cls = VectorizedBackend if use_vectorized else ScalarBackend
     return cls(graph, variant, sources, sinks, fixpoint, detect_ambiguity,
                telemetry=telemetry)

@@ -299,6 +299,26 @@ class TestExport:
             main(["export", "dot"])
 
 
+class TestExitStatus:
+    """An inconclusive verdict exits 3; a usage error exits 2."""
+
+    def test_deadlock_inconclusive_exits_3(self, capsys):
+        assert main(["deadlock", "feedback", "--max-cycles", "1"]) == 3
+        assert capsys.readouterr().out.startswith("inconclusive: ")
+
+    def test_analyze_inconclusive_exits_3(self, capsys):
+        assert main(["analyze", "figure2", "--max-cycles", "1"]) == 3
+        assert capsys.readouterr().err == (
+            "inconclusive: figure2: no periodicity within 1 cycles "
+            "(state space larger than expected) — raise --max-cycles\n")
+
+    def test_deadlock_bad_flag_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["deadlock", "feedback", "--bogus"])
+        assert excinfo.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+
 class TestArgparseValidation:
     """Malformed flag values must exit 2 with a one-line argparse
     diagnostic, not surface as tracebacks mid-campaign."""

@@ -352,6 +352,25 @@ class TestBackendApi:
         for backend in BACKENDS[1:]:
             assert counts[backend] == counts["scalar"], backend
 
+    def test_scalar_accessors_match_history_loop(self):
+        """The stacked numpy extraction equals a per-cycle loop."""
+        handle = select(figure1(), sink_patterns=[{}, {"out": (False, True)}],
+                        backend="scalar")
+        handle.run_cycles(40)
+        sims = handle.sims
+        for counts, attr, width in (
+                (handle.fire_counts(), "fire_history",
+                 len(handle.shell_names)),
+                (handle.accept_counts(), "accept_history",
+                 len(handle.sink_names))):
+            assert counts.tolist() == [
+                [sum(row[j] for row in getattr(sim, attr)) for sim in sims]
+                for j in range(width)]
+        assert handle.accept_history().tolist() == [
+            [[sim.accept_history[cycle][j] for sim in sims]
+             for j in range(len(handle.sink_names))]
+            for cycle in range(40)]
+
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_scripted_sources_through_select(self, backend):
         graph = pipeline(2)
